@@ -95,10 +95,12 @@ class PlatformHealth {
   uint64_t total_recoveries() const;
 
   /// Monotone counter bumped on every breaker trip, readable without the
-  /// lock. Shards of the serving layer compare it against a cached value on
-  /// request entry: unchanged (the overwhelmingly common case) means no new
-  /// trips to reconcile against their plan caches, so the healthy hot path
-  /// costs one relaxed load instead of a shared mutex.
+  /// lock. The serving layer compares it against the last value it
+  /// reconciled on request entry: unchanged (the overwhelmingly common
+  /// case) means no new trips to sweep from its plan caches, so the healthy
+  /// hot path costs one acquire load instead of a shared mutex. It reads it
+  /// once more before caching a freshly optimized plan: a moved epoch means
+  /// a trip overlapped the optimize, and the plan is not cached.
   uint64_t trip_epoch() const {
     return trip_epoch_.load(std::memory_order_acquire);
   }

@@ -198,10 +198,10 @@ struct OptimizerService::Shard {
   /// on this shard; rebuilt on re-pin). Null when the budget is 0.
   std::unique_ptr<CachingCostOracle> memo_exact;
   std::unique_ptr<CachingCostOracle> memo_quantized;
-  /// Breaker fan-out state: last reconciled trip epoch and per-platform
-  /// trip counts (mirrors the legacy path's last_trips_, but per shard).
+  /// Last trip epoch this shard saw reconciled. The reconcile itself
+  /// (SyncBreakerState) sweeps every shard's cache eagerly; this only lets
+  /// the healthy path skip it with one compare.
   uint64_t seen_trip_epoch = 0;
-  std::array<uint64_t, kMaxPlatforms> last_trips{};
 
   // --- Read concurrently by producers at admission ---
   std::atomic<double> ewma_service_s{0.0};
@@ -554,8 +554,15 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeLegacy(
   // stay routable — the next query through them is the recovery probe. The
   // mask is part of the cache key (HashOptions covers it), so plans cached
   // while a platform was dead never serve after it recovers, and vice
-  // versa.
-  const uint64_t open_mask = SyncBreakerState();
+  // versa. Trips not yet reconciled with the caches are swept first (one
+  // compare when nothing tripped; racing callers at worst sweep twice, and
+  // the second sweep finds no new trips).
+  const uint64_t trip_epoch = health_.trip_epoch();
+  if (trip_epoch != legacy_seen_trip_epoch_.load(std::memory_order_acquire)) {
+    SyncBreakerState();
+    legacy_seen_trip_epoch_.store(trip_epoch, std::memory_order_release);
+  }
+  const uint64_t open_mask = health_.OpenMask();
   OptimizeOptions options = caller_options;
   options.excluded_platform_mask |= open_mask;
   // Serve-level quantized default: when the service was configured for
@@ -624,7 +631,10 @@ StatusOr<OptimizerService::Result> OptimizerService::OptimizeLegacy(
   result.optimize = std::move(optimized.value());
 
   if (cache_on) {
-    plan_cache_.Insert(key, MakeCacheEntry(result, canonical, /*slot=*/0));
+    // A trip that overlapped this optimize may already have been swept;
+    // caching the plan now would outlive it (see RunOnShard).
+    plan_cache_.InsertIf(key, MakeCacheEntry(result, canonical, /*slot=*/0),
+                         [&] { return health_.trip_epoch() == trip_epoch; });
   }
   return result;
 }
@@ -753,24 +763,13 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   if (shard.pinned_version != models_.published_version()) {
     RepinShard(shard);
   }
-  // Breaker fan-out: one epoch compare; on change, reconcile new trips
-  // against this shard's cache slice (same delta logic as the legacy
-  // SyncBreakerState, but per shard).
+  // Breaker fan-out: one epoch compare. OnExecutionFailure already swept
+  // every shard; a moved epoch here catches trips recorded straight into
+  // health() without an observer call.
   const uint64_t trip_epoch = health_.trip_epoch();
   if (trip_epoch != shard.seen_trip_epoch) {
-    uint64_t dropped = 0;
-    for (PlatformId p = 0; p < registry_->num_platforms(); ++p) {
-      const uint64_t trips = health_.snapshot(p).trips;
-      if (trips > shard.last_trips[p]) {
-        shard.last_trips[p] = trips;
-        dropped += shard.cache.InvalidatePlatform(p);
-      }
-    }
+    SyncBreakerState();
     shard.seen_trip_epoch = trip_epoch;
-    if (dropped > 0) {
-      std::lock_guard<std::mutex> lock(recovery_mu_);
-      plans_invalidated_on_trip_ += dropped;
-    }
   }
 
   // From here the flow mirrors the legacy path (same masking, same obs
@@ -828,7 +827,14 @@ StatusOr<OptimizerService::Result> OptimizerService::RunOnShard(
   Result result;
   result.optimize = std::move(optimized.value());
   if (cache_on) {
-    shard.cache.Insert(key, MakeCacheEntry(result, canonical, slot));
+    // The plan was enumerated under the open mask of `trip_epoch`. If a
+    // breaker tripped since, its sweep may already have passed this cache,
+    // and the plan (which may route through the dead platform) would
+    // outlive the trip. The epoch is re-read under the cache lock: a sweep
+    // that ran first is then visible, and one that runs later sees the
+    // entry.
+    shard.cache.InsertIf(key, MakeCacheEntry(result, canonical, slot),
+                         [&] { return health_.trip_epoch() == trip_epoch; });
   }
   return result;
 }
@@ -955,22 +961,34 @@ void OptimizerService::OnExecutionFailure(const ExecutionPlan& plan,
     ++failures_observed_;
   }
   // The failure may just have tripped a breaker: reconcile immediately so
-  // stale cached plans through the dead platform are gone before the very
-  // next Optimize() call (not merely keyed away by the exclusion mask).
+  // stale cached plans through the dead platform are gone — from every
+  // shard — before the very next Optimize() call (not merely keyed away by
+  // the exclusion mask).
   SyncBreakerState();
 }
 
-uint64_t OptimizerService::SyncBreakerState() {
-  const uint64_t open_mask = health_.OpenMask();
+void OptimizerService::SyncBreakerState() {
   std::lock_guard<std::mutex> lock(recovery_mu_);
+  uint64_t tripped = 0;
   for (PlatformId p = 0; p < registry_->num_platforms(); ++p) {
     const uint64_t trips = health_.snapshot(p).trips;
     if (trips > last_trips_[p]) {
       last_trips_[p] = trips;
-      plans_invalidated_on_trip_ += plan_cache_.InvalidatePlatform(p);
+      tripped |= 1ull << p;
     }
   }
-  return open_mask;
+  if (tripped == 0) return;
+  // Each PlanCache is internally locked, so the sweep needs no shard turn.
+  // It does hold off slot migration: entries RebalanceNow has extracted
+  // from one shard but not yet inserted into another would escape it.
+  std::lock_guard<std::mutex> migration(rebalance_mu_);
+  for (PlatformId p = 0; p < registry_->num_platforms(); ++p) {
+    if ((tripped & (1ull << p)) == 0) continue;
+    plans_invalidated_on_trip_ += plan_cache_.InvalidatePlatform(p);
+    for (const auto& shard : shards_) {
+      plans_invalidated_on_trip_ += shard->cache.InvalidatePlatform(p);
+    }
+  }
 }
 
 void OptimizerService::DrainFeedbackLocked() {

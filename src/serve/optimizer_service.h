@@ -2,6 +2,7 @@
 #define ROBOPT_SERVE_OPTIMIZER_SERVICE_H_
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -365,10 +366,11 @@ struct ServeStats {
 ///     thread-per-core style: a lock-free ShardRouter hashes (tenant,
 ///     fingerprint) to one of N shards, each owning its own PlanCache
 ///     slice, pinned-model handle, oracle memo and bounded admission queue
-///     with deadline-based shedding. Model promotions, breaker trips and
-///     cache invalidations fan out to shards through per-shard
-///     epoch/version checks on request entry — no stop-the-world. See
-///     DESIGN.md, "Sharded serving & load shedding".
+///     with deadline-based shedding. Model promotions fan out to shards
+///     through a per-shard version check on request entry; a breaker trip
+///     sweeps every shard's cache eagerly (each cache is internally
+///     locked) — neither stops the world. See DESIGN.md, "Sharded serving
+///     & load shedding".
 ///
 /// Thread-safe throughout: any number of threads may call Optimize() and
 /// Execute() (with this service as the executor's observer) concurrently
@@ -566,11 +568,13 @@ class OptimizerService : public ExecutionObserver {
   /// Moves queued feedback into drift stats, the holdout set and the
   /// experience log. Caller holds retrain_mu_.
   void DrainFeedbackLocked();
-  /// Reconciles breaker trips with the plan cache: any platform whose trip
-  /// count grew since the last sync has its cached plans invalidated.
-  /// Called from OnExecutionFailure and Optimize (cheap when nothing
-  /// changed). Returns the current open-breaker mask.
-  uint64_t SyncBreakerState();
+  /// Reconciles breaker trips with the plan caches: any platform whose trip
+  /// count grew since the last sync has its cached plans dropped from the
+  /// legacy cache and from every shard's cache, each counted once in
+  /// plans_invalidated_on_trip_. Called from OnExecutionFailure, and from
+  /// Optimize when the trip epoch moved (trips recorded straight into
+  /// health()).
+  void SyncBreakerState();
   /// Consistent copy of the holdout set.
   MlDataset HoldoutSnapshot() const;
   void WorkerLoop();
@@ -625,9 +629,11 @@ class OptimizerService : public ExecutionObserver {
   uint64_t failures_observed_ = 0;
   uint64_t masked_optimizes_ = 0;
   uint64_t plans_invalidated_on_trip_ = 0;
-  /// Last-seen per-platform trip counts; a delta means new trips to
-  /// reconcile against the plan cache.
+  /// Last-seen per-platform trip counts: the one trip ledger for the legacy
+  /// cache and every shard's. A delta means new trips to sweep.
   std::array<uint64_t, kMaxPlatforms> last_trips_{};
+  /// Trip epoch the legacy path last saw reconciled (shards keep their own).
+  std::atomic<uint64_t> legacy_seen_trip_epoch_{0};
 
   std::mutex worker_mu_;
   std::condition_variable worker_cv_;

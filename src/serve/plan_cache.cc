@@ -108,9 +108,7 @@ bool PlanCache::Lookup(const PlanCacheKey& key, uint64_t current_version,
   return true;
 }
 
-void PlanCache::Insert(const PlanCacheKey& key, Entry entry) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
+void PlanCache::InsertLocked(const PlanCacheKey& key, Entry entry) {
   auto it = map_.find(key);
   if (it != map_.end()) {
     it->second->entry = std::move(entry);

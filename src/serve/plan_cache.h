@@ -128,7 +128,19 @@ class PlanCache {
 
   /// Inserts (or replaces) the entry for `key`, evicting the LRU tail when
   /// over capacity.
-  void Insert(const PlanCacheKey& key, Entry entry);
+  void Insert(const PlanCacheKey& key, Entry entry) {
+    InsertIf(key, std::move(entry), [] { return true; });
+  }
+
+  /// Insert, but only when `still_valid()` holds under the cache lock, so
+  /// the check and the insertion are one step with respect to every other
+  /// operation on this cache (InvalidatePlatform in particular).
+  template <typename Pred>
+  void InsertIf(const PlanCacheKey& key, Entry entry, Pred still_valid) {
+    if (capacity_ == 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (still_valid()) InsertLocked(key, std::move(entry));
+  }
 
   /// Drops every entry (called on model promotion).
   void InvalidateAll();
@@ -162,6 +174,9 @@ class PlanCache {
     PlanCacheKey key;
     Entry entry;
   };
+
+  /// Caller holds mu_.
+  void InsertLocked(const PlanCacheKey& key, Entry entry);
 
   /// Internal counters on relaxed atomics: the hit/miss bumps happen on
   /// the lookup hot path and stats() is called by exporters at arbitrary

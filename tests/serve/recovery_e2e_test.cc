@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "serve/optimizer_service.h"
 #include "tdgen/tdgen.h"
@@ -157,6 +158,58 @@ TEST_F(RecoveryE2eTest, PermanentOutageTripsBreakerAndReoptimizesAroundIt) {
   EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
   EXPECT_GE((*service)->health()->snapshot(kSpark).rejected, 1u);
 }
+
+/// The trip-invalidation contract at explicit shard counts, independent of
+/// the host's core count (num_shards = 0 resolves to it): the trip alone,
+/// with no Optimize() in between, drops the cached Spark plan — whether it
+/// lives in the single-instance cache or in one shard's slice.
+class RecoveryShardCountTest : public RecoveryE2eTest,
+                               public ::testing::WithParamInterface<int> {
+ protected:
+  static void SetUpTestSuite() {
+    if (registry_ == nullptr) RecoveryE2eTest::SetUpTestSuite();
+  }
+};
+
+TEST_P(RecoveryShardCountTest, TripDropsCachedPlansBeforeTheNextOptimize) {
+  constexpr int kThreshold = 3;
+  constexpr PlatformId kSpark = 1;
+  ServeOptions options = RecoveryServeOptions(kThreshold, /*cooldown_s=*/1e9);
+  options.num_shards = GetParam();
+  auto service = OptimizerService::Create(registry_, schema_, *base_,
+                                          nullptr, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_EQ((*service)->num_shards(), GetParam());
+
+  LogicalPlan plan = MakeWordCountPlan(0.001);
+  OptimizeOptions spark_only;
+  spark_only.allowed_platform_mask = 1ull << kSpark;
+  auto spark_plan = (*service)->Optimize(plan, nullptr, spark_only);
+  ASSERT_TRUE(spark_plan.ok()) << spark_plan.status().ToString();
+  ASSERT_EQ((*service)->Stats().plan_cache.insertions, 1u);
+
+  for (int i = 0; i < kThreshold; ++i) {
+    EXPECT_EQ(ExecuteOn(service->get(), plan, kSpark,
+                        /*inject_permanent_fault=*/true)
+                  .code(),
+              StatusCode::kUnavailable);
+  }
+  ASSERT_EQ((*service)->health()->state(kSpark), BreakerState::kOpen);
+
+  const ServeStats stats = (*service)->Stats();
+  EXPECT_GE(stats.recovery.plans_invalidated_on_trip, 1u);
+  EXPECT_GE(stats.plan_cache.platform_invalidations, 1u);
+  const MetricsSnapshot metrics = (*service)->SnapshotMetrics();
+  ASSERT_TRUE(metrics.Has("robopt_recovery_plans_invalidated_on_trip"));
+  EXPECT_EQ(metrics.Value("robopt_recovery_plans_invalidated_on_trip"),
+            static_cast<double>(stats.recovery.plans_invalidated_on_trip));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardCounts, RecoveryShardCountTest, ::testing::Values(1, 2, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "Shards" + std::to_string(info.param);
+    });
 
 TEST_F(RecoveryE2eTest, HalfOpenProbeRecoversThePlatform) {
   constexpr int kThreshold = 2;

@@ -215,8 +215,9 @@ TEST_F(ShardSoakTest, BreakerTripInvalidatesEveryShardWithoutLoss) {
   }
   ASSERT_EQ((*service)->Stats().plan_cache.insertions, sizes.size());
 
-  // Spark goes dark. The invalidation fans out lazily: each shard
-  // reconciles the trip epoch on its next request entry.
+  // Spark goes dark, recorded straight into health() (no observer call).
+  // The first request to enter any shard sees the moved trip epoch and
+  // sweeps every shard's cache at once.
   for (int i = 0; i < options.breaker.failure_threshold; ++i) {
     (*service)->health()->RecordFailure(kSpark);
   }
@@ -241,6 +242,96 @@ TEST_F(ShardSoakTest, BreakerTripInvalidatesEveryShardWithoutLoss) {
   EXPECT_EQ(stats.recovery.plans_invalidated_on_trip, sizes.size());
   EXPECT_EQ(stats.plan_cache.platform_invalidations, sizes.size());
   EXPECT_GE(stats.recovery.masked_optimizes, sizes.size());
+}
+
+TEST_F(ShardSoakTest, TripRacingServingTurnsLeavesNoStalePlanCached) {
+  // A plan enumerated before a trip but cached after the trip's sweep would
+  // outlive the trip. Workers keep optimizing fresh Spark-routed plans (a
+  // new size each time, so every request computes and inserts) while Spark
+  // trips — recorded straight into health(), so the sweep comes from the
+  // serving path's own epoch check — and a rebalancer migrates slots.
+  ServeOptions options = ShardedServeOptions(4);
+  options.breaker.failure_threshold = 3;
+  options.breaker.cooldown_s = 1.0;
+  options.rebalance_min_checks = 1;
+  options.rebalance_imbalance_factor = 1.5;
+  auto created = OptimizerService::Create(registry_, schema_, *base_,
+                                          *forest_, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  OptimizerService* service = created->get();
+  PlatformHealth* health = service->health();
+  OptimizeOptions spark_only;
+  spark_only.allowed_platform_mask = 1ull << kSpark;
+
+  constexpr int kWorkers = 4;
+  constexpr int kRounds = 8;
+  std::atomic<uint64_t> next_plan{0};
+  uint64_t checked = 0;
+  uint64_t stale = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> served{0};
+    // Per worker: sizes whose Spark plan was served (hence enumerated
+    // before the trip, and possibly cached).
+    std::vector<std::vector<double>> planned(kWorkers);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWorkers; ++w) {
+      threads.emplace_back([&, w] {
+        RequestContext ctx;
+        ctx.tenant = static_cast<uint64_t>(w);
+        ctx.deadline_s = -1.0;
+        while (!stop.load()) {
+          const double size =
+              0.001 * static_cast<double>(1 + next_plan.fetch_add(1));
+          LogicalPlan plan = MakeWordCountPlan(size);
+          if (service->Optimize(plan, nullptr, spark_only, ctx).ok()) {
+            planned[w].push_back(size);
+            served.fetch_add(1);
+          }
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      while (!stop.load()) {
+        (void)service->RebalanceNow();
+        std::this_thread::yield();
+      }
+    });
+    while (served.load() < 2 * kWorkers) std::this_thread::yield();
+    for (int i = 0; i < options.breaker.failure_threshold; ++i) {
+      health->RecordFailure(kSpark);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop.store(true);
+    for (auto& thread : threads) thread.join();
+    // Make sure some request entered a shard after the trip (its epoch
+    // check sweeps every shard).
+    ASSERT_TRUE(service->Optimize(MakeWordCountPlan(0.001)).ok());
+
+    // Half-open Spark is routable again, so a Spark-only request looks up
+    // the very key its plan was cached under before the trip. Each such
+    // plan predates the trip: none may still be served from the cache.
+    health->AdvanceClock(options.breaker.cooldown_s);
+    ASSERT_EQ(health->state(kSpark), BreakerState::kHalfOpen);
+    for (int w = 0; w < kWorkers; ++w) {
+      RequestContext ctx;
+      ctx.tenant = static_cast<uint64_t>(w);
+      ctx.deadline_s = -1.0;
+      for (double size : planned[w]) {
+        LogicalPlan plan = MakeWordCountPlan(size);
+        auto result = service->Optimize(plan, nullptr, spark_only, ctx);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ++checked;
+        stale += result->cache_hit ? 1 : 0;
+      }
+    }
+    health->RecordSuccess(kSpark);  // The probe succeeds: closed again.
+    ASSERT_EQ(health->state(kSpark), BreakerState::kClosed);
+  }
+  EXPECT_GE(checked, static_cast<uint64_t>(2 * kWorkers * kRounds));
+  EXPECT_EQ(stale, 0u);
+  EXPECT_EQ(service->Stats().recovery.breaker_trips,
+            static_cast<uint64_t>(kRounds));
 }
 
 TEST_F(ShardSoakTest, EstimatedDelayPastDeadlineShedsDeterministically) {
